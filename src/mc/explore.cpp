@@ -1,7 +1,7 @@
 #include "mc/explore.hpp"
 
-#include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <sstream>
 #include <unordered_map>
 
@@ -12,35 +12,25 @@ namespace npss::mc {
 
 namespace {
 
-std::string state_hash(const World& world) {
+util::Sha256Digest state_hash(const World& world) {
   const util::Bytes image = world.fingerprint();
-  return util::sha256_hex(std::string_view(
+  return util::sha256(std::string_view(
       reinterpret_cast<const char*>(image.data()), image.size()));
 }
 
-/// True when every action in `inner` also appears in `outer`.
-bool subset(const std::vector<Action>& inner,
-            const std::vector<Action>& outer) {
-  return std::all_of(inner.begin(), inner.end(), [&](const Action& a) {
-    return std::find(outer.begin(), outer.end(), a) != outer.end();
-  });
-}
-
-/// What one exploration of a cached state covered: how much depth it had
-/// and which actions its sleep set pruned. A revisit may only be skipped
-/// when the cached exploration dominates it — otherwise a subtree pruned
-/// under the cached sleep set would never be explored from this state
-/// along any path (violations missed inside the bound).
-struct VisitedEntry {
-  int depth = -1;
-  std::vector<Action> sleep;
+/// The digest is already uniform: its first word is a good bucket hash.
+struct DigestHash {
+  std::size_t operator()(const util::Sha256Digest& d) const {
+    std::size_t h;
+    std::memcpy(&h, d.data(), sizeof h);
+    return h;
+  }
 };
 
 struct Search {
   const ExploreOptions& x;
-  const Options& wopts;
-  /// state hash -> the dominating exploration recorded from that state.
-  std::unordered_map<std::string, VisitedEntry> visited;
+  /// state hash -> the largest remaining depth explored from that state.
+  std::unordered_map<util::Sha256Digest, int, DigestHash> visited;
   ExploreStats stats;
   std::optional<Violation> violation;
   std::vector<Action> path;
@@ -56,8 +46,7 @@ struct Search {
   }
 
   /// Returns true when a violation was found (search stops).
-  bool dfs(const World& world, int remaining,
-           const std::vector<Action>& sleep) {
+  bool dfs(const World& world, int remaining) {
     if (std::optional<Violation> v = world.check()) {
       violation = std::move(v);
       found = path;
@@ -73,52 +62,24 @@ struct Search {
     }
     const std::vector<Action> acts = world.enabled();
     stats.transitions += acts.size();
-    std::vector<Action> local_sleep = sleep;
     for (const Action& action : acts) {
-      if (x.reduce &&
-          std::find(local_sleep.begin(), local_sleep.end(), action) !=
-              local_sleep.end()) {
-        ++stats.sleep_pruned;
-        continue;
-      }
       if (out_of_budget()) return false;
       World next = world;
       next.step(action);
       ++stats.states_explored;
-      std::vector<Action> child_sleep;
-      if (x.reduce) {
-        // A sleeping sibling stays asleep below this edge only if it
-        // commutes with the edge (disjoint footprints).
-        const std::uint64_t taken = world.footprint(action);
-        for (const Action& b : local_sleep) {
-          if ((world.footprint(b) & taken) == 0) child_sleep.push_back(b);
+      const auto [it, inserted] =
+          visited.try_emplace(state_hash(next), remaining - 1);
+      if (!inserted) {
+        if (it->second >= remaining - 1) {
+          ++stats.visited_hits;
+          continue;
         }
+        it->second = remaining - 1;
       }
-      const std::string hash = state_hash(next);
-      auto it = visited.find(hash);
-      if (it != visited.end() && it->second.depth >= remaining - 1 &&
-          subset(it->second.sleep, child_sleep)) {
-        // The cached exploration had at least this much budget and its
-        // sleep set pruned no action ours would explore (it is a subset
-        // of ours): nothing new can be found below.
-        ++stats.visited_hits;
-      } else {
-        // Record this exploration only when it dominates the cached one
-        // (deeper-or-equal with fewer-or-equal sleeping actions); a
-        // re-exploration under an incomparable sleep set keeps the
-        // cached entry — redundant work, never missed work.
-        if (it == visited.end()) {
-          visited.emplace(hash, VisitedEntry{remaining - 1, child_sleep});
-        } else if (remaining - 1 >= it->second.depth &&
-                   subset(child_sleep, it->second.sleep)) {
-          it->second = VisitedEntry{remaining - 1, child_sleep};
-        }
-        path.push_back(action);
-        if (dfs(next, remaining - 1, child_sleep)) return true;
-        path.pop_back();
-        if (stopped) return false;
-      }
-      local_sleep.push_back(action);
+      path.push_back(action);
+      if (dfs(next, remaining - 1)) return true;
+      path.pop_back();
+      if (stopped) return false;
     }
     return false;
   }
@@ -204,10 +165,10 @@ char action_char(ActionKind kind) {
 }  // namespace
 
 ExploreResult explore(const Options& world_opts, const ExploreOptions& x) {
-  Search search{x, world_opts, {}, {}, {}, {}, {}, false};
+  Search search{x, {}, {}, {}, {}, {}, false};
   World root(world_opts);
-  search.visited.emplace(state_hash(root), VisitedEntry{x.depth, {}});
-  search.dfs(root, x.depth, {});
+  search.visited.emplace(state_hash(root), x.depth);
+  search.dfs(root, x.depth);
   ExploreResult result;
   result.stats = search.stats;
   if (search.violation) {

@@ -3,7 +3,7 @@
 //   meta_check [--replicas N] [--depth D] [--ops K] [--crashes C]
 //              [--restarts R] [--drops X] [--dups U] [--seed S]
 //              [--snapshot-interval I] [--max-states M] [--legacy]
-//              [--no-reduce] [--no-minimize] [--replay SCHEDULE]
+//              [--no-minimize] [--replay SCHEDULE]
 //              [--json] [--list-codes]
 //
 // Runs N meta::ReplicaCore instances over a virtual network and
@@ -49,7 +49,6 @@ void usage(std::ostream& os) {
         "  --snapshot-interval I  compaction interval, 0 = never (default 0)\n"
         "  --max-states M         step budget, 0 = unbounded (default 250000)\n"
         "  --legacy               check the PR 6 protocol (MUST fail: MC003)\n"
-        "  --no-reduce            disable sleep-set partial-order reduction\n"
         "  --no-minimize          keep the first violating schedule as-is\n"
         "  --replay SCHED         re-execute one schedule (e.g. "
         "\"p0,c0,t1,d1>2,d2>1\")\n"
@@ -80,7 +79,6 @@ std::string json_report(const npss::mc::ExploreResult& result,
      << "  \"replicas\": " << opts.replicas << ",\n"
      << "  \"states_explored\": " << result.stats.states_explored << ",\n"
      << "  \"visited_hits\": " << result.stats.visited_hits << ",\n"
-     << "  \"sleep_pruned\": " << result.stats.sleep_pruned << ",\n"
      << "  \"transitions\": " << result.stats.transitions << ",\n"
      << "  \"budget_exhausted\": "
      << (result.stats.budget_exhausted ? "true" : "false") << ",\n";
@@ -141,8 +139,6 @@ int main(int argc, char** argv) {
         x.max_states = std::stoull(need_value(i, arg));
       } else if (arg == "--legacy") {
         opts.quorum_commit = false;
-      } else if (arg == "--no-reduce") {
-        x.reduce = false;
       } else if (arg == "--no-minimize") {
         x.minimize = false;
       } else if (arg == "--replay") {
@@ -192,8 +188,7 @@ int main(int argc, char** argv) {
     std::cout << "meta_check: " << (opts.quorum_commit ? "quorum" : "legacy")
               << " protocol, " << opts.replicas << " replica(s)\n"
               << "  states explored: " << result.stats.states_explored
-              << "  visited hits: " << result.stats.visited_hits
-              << "  sleep pruned: " << result.stats.sleep_pruned << "\n";
+              << "  visited hits: " << result.stats.visited_hits << "\n";
     if (result.stats.budget_exhausted) {
       std::cout << "  note: --max-states budget exhausted before the bound; "
                    "coverage is partial\n";

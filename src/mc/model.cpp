@@ -13,25 +13,38 @@ namespace {
 using meta::Msg;
 using meta::MsgKind;
 
-/// Canonical byte image of one in-flight message (fingerprint input —
-/// never decoded, so it needs no version byte).
+/// Canonical image of one in-flight message (fingerprint input — never
+/// decoded). Most frames carry no record, snapshot or batch, so each of
+/// those is one presence byte (or a zero count) unless it is set.
 void encode_msg(util::ByteWriter& out, const Msg& m) {
+  static const meta::ChangeRecord kNoRecord;
   out.u8(static_cast<std::uint8_t>(m.kind));
-  out.i64(m.from);
-  out.u64(m.term);
-  out.u64(m.index);
-  out.u64(m.prev_term);
-  out.u64(m.last_index);
-  out.u64(m.last_term);
-  out.u64(m.commit);
-  out.u64(m.commit_term);
+  out.svarint(m.from);
+  out.uvarint(m.term);
+  out.uvarint(m.index);
+  out.uvarint(m.prev_term);
+  out.uvarint(m.last_index);
+  out.uvarint(m.last_term);
+  out.uvarint(m.commit);
+  out.uvarint(m.commit_term);
   out.u8(m.granted ? 1 : 0);
-  out.blob(meta::encode_record(m.record));
-  out.u64(m.snap_index);
-  out.u64(m.snap_term);
-  out.str(m.snap_digest);
-  out.blob(m.snapshot);
-  out.blob(meta::encode_record_batch(m.batch));
+  const bool has_record = m.record != kNoRecord;
+  out.u8(has_record ? 1 : 0);
+  if (has_record) meta::fingerprint_record(out, m.record);
+  const bool has_snapshot = m.snap_index != 0 || m.snap_term != 0 ||
+                            !m.snap_digest.empty() || !m.snapshot.empty();
+  out.u8(has_snapshot ? 1 : 0);
+  if (has_snapshot) {
+    out.uvarint(m.snap_index);
+    out.uvarint(m.snap_term);
+    out.vstr(m.snap_digest);
+    out.vblob(m.snapshot);
+  }
+  out.uvarint(m.batch.size());
+  for (const auto& [index, record] : m.batch) {
+    out.uvarint(index);
+    meta::fingerprint_record(out, record);
+  }
 }
 
 std::string wire_name(const Msg& m) {
@@ -306,7 +319,8 @@ std::optional<Violation> World::check() const {
       }
     }
   }
-  // MC004 — convergence: equal applied index implies equal digest.
+  // MC004 — convergence: equal applied index implies an equal table —
+  // the fields digest() hashes, compared directly (no image, no hash).
   for (int i = 0; i < opts_.replicas; ++i) {
     for (int j = i + 1; j < opts_.replicas; ++j) {
       const Node& a = nodes_[static_cast<std::size_t>(i)];
@@ -316,7 +330,7 @@ std::optional<Violation> World::check() const {
         continue;
       }
       if (a.core.state().last_applied() == 0) continue;
-      if (a.core.state().digest() != b.core.state().digest()) {
+      if (!a.core.state().same_table(b.core.state())) {
         std::ostringstream os;
         os << "replicas r" << i << " and r" << j << " both applied through "
            << "index " << a.core.state().last_applied()
@@ -352,7 +366,7 @@ std::optional<Violation> World::check_leaf() const {
       return Violation{"MC005", "replica r" + std::to_string(i) +
                                     " cannot replay its own log: " + e.what()};
     }
-    if (rebuilt.digest() != node.core.state().digest()) {
+    if (!rebuilt.same_table(node.core.state())) {
       std::ostringstream os;
       os << "replica r" << i << ": snapshot + log replayed twice gives "
          << "digest " << rebuilt.digest().substr(0, 12) << "…, live state is "
@@ -365,41 +379,43 @@ std::optional<Violation> World::check_leaf() const {
 
 util::Bytes World::fingerprint() const {
   util::ByteWriter out;
+  out.reserve(512);  // images run ~80-250 B at the gate bounds: one allocation
   out.u8(static_cast<std::uint8_t>(opts_.replicas));
   out.u8(opts_.quorum_commit ? 1 : 0);
-  out.u32(static_cast<std::uint32_t>(ops_done_));
-  out.u32(static_cast<std::uint32_t>(crashes_));
-  out.u32(static_cast<std::uint32_t>(restarts_));
-  out.u32(static_cast<std::uint32_t>(drops_));
-  out.u32(static_cast<std::uint32_t>(dups_));
+  out.uvarint(static_cast<std::uint64_t>(ops_done_));
+  out.uvarint(static_cast<std::uint64_t>(crashes_));
+  out.uvarint(static_cast<std::uint64_t>(restarts_));
+  out.uvarint(static_cast<std::uint64_t>(drops_));
+  out.uvarint(static_cast<std::uint64_t>(dups_));
   for (const Node& node : nodes_) {
     out.u8(node.up ? 1 : 0);
     // A dead replica's memory is gone: two worlds that differ only in
-    // what a crashed core last held are the same state.
-    if (node.up) out.blob(node.core.fingerprint());
+    // what a crashed core last held are the same state. The core image
+    // is self-delimiting, so it needs no length prefix of its own.
+    if (node.up) node.core.fingerprint(out);
   }
   for (const auto& queue : links_) {
-    out.u32(static_cast<std::uint32_t>(queue.size()));
+    out.uvarint(queue.size());
     for (const Msg& m : queue) encode_msg(out, m);
   }
-  out.u32(static_cast<std::uint32_t>(pending_.size()));
+  out.uvarint(pending_.size());
   for (const PendingOp& op : pending_) {
-    out.u64(op.token);
-    out.u64(op.index);
-    out.u64(op.term);
-    out.i64(op.leader);
+    out.uvarint(op.token);
+    out.uvarint(op.index);
+    out.uvarint(op.term);
+    out.svarint(op.leader);
   }
-  out.u32(static_cast<std::uint32_t>(acked_.size()));
+  out.uvarint(acked_.size());
   for (const AckedOp& op : acked_) {
-    out.u64(op.token);
-    out.u64(op.index);
-    out.u64(op.term);
+    out.uvarint(op.token);
+    out.uvarint(op.index);
+    out.uvarint(op.term);
   }
-  out.u32(static_cast<std::uint32_t>(leaders_by_term_.size()));
+  out.uvarint(leaders_by_term_.size());
   for (const auto& [term, leaders] : leaders_by_term_) {
-    out.u64(term);
-    out.u32(static_cast<std::uint32_t>(leaders.size()));
-    for (int r : leaders) out.i64(r);
+    out.uvarint(term);
+    out.uvarint(leaders.size());
+    for (int r : leaders) out.svarint(r);
   }
   return std::move(out).take();
 }
@@ -461,47 +477,6 @@ std::string World::summary() const {
     os << "\n";
   }
   return os.str();
-}
-
-std::uint64_t World::footprint(const Action& action) const {
-  const int n = opts_.replicas;
-  const auto node_bit = [](int i) { return std::uint64_t{1} << i; };
-  const auto link_bit = [n](int from, int to) {
-    return std::uint64_t{1} << (n + from * n + to);
-  };
-  std::uint64_t mask = 0;
-  const auto touch_outgoing = [&](int i) {
-    for (int k = 0; k < n; ++k) {
-      if (k != i) mask |= link_bit(i, k);
-    }
-  };
-  switch (action.kind) {
-    case ActionKind::kPropose:
-    case ActionKind::kTimer:
-      mask |= node_bit(action.a);
-      touch_outgoing(action.a);
-      break;
-    case ActionKind::kDeliver:
-      mask |= link_bit(action.a, action.b) | node_bit(action.b);
-      touch_outgoing(action.b);
-      break;
-    case ActionKind::kDrop:
-    case ActionKind::kDuplicate:
-      mask |= link_bit(action.a, action.b);
-      break;
-    case ActionKind::kCrash:
-      mask |= node_bit(action.a);
-      for (int k = 0; k < n; ++k) {
-        if (k == action.a) continue;
-        mask |= link_bit(action.a, k) | link_bit(k, action.a);
-      }
-      break;
-    case ActionKind::kRestart:
-      mask |= node_bit(action.a);
-      touch_outgoing(action.a);
-      break;
-  }
-  return mask;
 }
 
 }  // namespace npss::mc

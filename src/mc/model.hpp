@@ -18,7 +18,7 @@
 //   MC002  log consistency     — committed prefixes are pairwise equal
 //   MC003  durability          — an acked write is never lost: every
 //                                leader of a later-or-equal term holds it
-//   MC004  convergence         — equal applied index ⇒ equal state digest
+//   MC004  convergence         — equal applied index ⇒ equal state table
 //   MC005  replay idempotence  — snapshot + own log, applied twice,
 //                                reproduces the live state (leaf check)
 //
@@ -109,7 +109,9 @@ class World {
   std::optional<Violation> check_leaf() const;
 
   /// Canonical image of the entire world — cores, links, budgets,
-  /// ledger — for the explorer's visited set.
+  /// ledger — for the explorer's visited set. Injective: two worlds get
+  /// the same image only when every field above is equal (varints, with
+  /// a count or length before every variable-length field).
   util::Bytes fingerprint() const;
 
   /// Human transcript line for `action` against the current state, e.g.
@@ -121,11 +123,6 @@ class World {
 
   const std::vector<AckedOp>& acked() const { return acked_; }
   bool up(int i) const { return nodes_[static_cast<std::size_t>(i)].up; }
-
-  /// Resource bitmask for independence: bit i = node i, bit
-  /// replicas + a*replicas + b = link a→b. Two actions commute when
-  /// their masks are disjoint (sleep-set reduction).
-  std::uint64_t footprint(const Action& action) const;
 
  private:
   struct Node {

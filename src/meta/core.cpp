@@ -619,25 +619,69 @@ int ReplicaCore::timer_ms() const {
   return config_.election_base_ms;
 }
 
-util::Bytes ReplicaCore::fingerprint() const {
-  util::ByteWriter out;
+void fingerprint_record(util::ByteWriter& out, const ChangeRecord& record) {
+  out.u8(static_cast<std::uint8_t>(record.kind));
+  out.svarint(record.line);
+  out.u8(record.shared ? 1 : 0);
+  out.vstr(record.address);
+  out.vstr(record.machine);
+  out.vstr(record.path);
+  out.vstr(record.spec_hash);
+  out.vstr(record.note);
+  out.uvarint(record.procs.size());
+  for (const auto& [name, sig] : record.procs) {
+    out.vstr(name);
+    out.vstr(sig);
+  }
+  out.svarint(record.quota);
+  out.uvarint(record.term);
+}
+
+void ReplicaCore::fingerprint(util::ByteWriter& out) const {
   out.u8(static_cast<std::uint8_t>(role_));
   out.u8(never_vote_ ? 1 : 0);
-  out.u64(term_);
-  out.u64(voted_term_);
-  out.i64(leader_);
-  out.u64(static_cast<std::uint64_t>(votes_));
-  out.u64(commit_);
-  for (std::uint64_t matched : match_) out.u64(matched);
-  out.u64(snapshots_.latest().index);
-  out.blob(snapshots_.latest().image);
-  out.u64(changelog_.last_index());
-  for (const auto& [index, rec] : changelog_.tail(changelog_.first_index())) {
-    out.u64(index);
-    out.blob(encode_record(rec));
+  out.uvarint(term_);
+  out.uvarint(voted_term_);
+  out.svarint(leader_);
+  out.uvarint(votes_);
+  out.uvarint(commit_);
+  out.uvarint(match_.size());
+  for (std::uint64_t matched : match_) out.uvarint(matched);
+  out.uvarint(snapshots_.latest().index);
+  out.vblob(snapshots_.latest().image);
+  // The retained log is contiguous, so (last index, count) fixes every
+  // entry's index.
+  const std::uint64_t first = changelog_.first_index();  // 0 = none held
+  const std::uint64_t last = changelog_.last_index();
+  out.uvarint(last);
+  out.uvarint(first == 0 ? 0 : last - first + 1);
+  if (first != 0) {
+    for (std::uint64_t k = first; k <= last; ++k) {
+      fingerprint_record(out, changelog_.at(k));
+    }
   }
-  out.blob(state_.serialize());
-  return std::move(out).take();
+  out.uvarint(state_.last_applied());
+  out.svarint(state_.next_line());
+  out.uvarint(state_.lines().size());
+  for (const auto& [id, info] : state_.lines()) {
+    out.svarint(id);
+    out.vstr(info.description);
+    out.svarint(info.quota);
+  }
+  out.uvarint(state_.exports().size());
+  for (const auto& [address, group] : state_.exports()) {
+    out.vstr(address);
+    out.svarint(group.line);
+    out.u8(group.shared ? 1 : 0);
+    out.vstr(group.machine);
+    out.vstr(group.path);
+    out.vstr(group.spec_hash);
+    out.uvarint(group.procs.size());
+    for (const auto& [name, sig] : group.procs) {
+      out.vstr(name);
+      out.vstr(sig);
+    }
+  }
 }
 
 }  // namespace npss::meta

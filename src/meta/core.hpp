@@ -125,6 +125,10 @@ struct CoreConfig {
   bool quorum_commit = true;  ///< false = PR 6 legacy (negative corpus)
 };
 
+/// Checker-side image of one record (never decoded): the same fields as
+/// encode_record(), as varints, without the version byte.
+void fingerprint_record(util::ByteWriter& out, const ChangeRecord& record);
+
 class ReplicaCore {
  public:
   ReplicaCore() = default;
@@ -184,9 +188,11 @@ class ReplicaCore {
   /// re-anchors its clock when the generation moves.
   std::uint64_t timer_generation() const { return timer_gen_; }
 
-  /// Canonical image of the whole core for the checker's visited set:
-  /// role, term, vote, commit, log, state, snapshot index.
-  util::Bytes fingerprint() const;
+  /// Append the canonical image of the whole core for the checker's
+  /// visited set: role, term, vote, commit, match indexes, snapshot, log,
+  /// state. Integers are varints and every variable-length field carries
+  /// its count or length, so the image is self-delimiting and injective.
+  void fingerprint(util::ByteWriter& out) const;
 
  private:
   std::size_t majority() const {

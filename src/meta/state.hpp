@@ -76,6 +76,15 @@ class ReplicatedState {
   /// failover transcript compares across a leader change.
   std::string digest() const;
 
+  /// True when `other` holds the same table — exactly the fields digest()
+  /// hashes (next line id, lines, exports; not last_applied()), so
+  /// same_table() == (digest() == other.digest()) without building either
+  /// image. meta_check's per-step convergence check uses it.
+  bool same_table(const ReplicatedState& other) const {
+    return next_line_ == other.next_line_ && lines_ == other.lines_ &&
+           exports_ == other.exports_;
+  }
+
   bool operator==(const ReplicatedState&) const = default;
 
  private:

@@ -71,6 +71,34 @@ class ByteWriter {
     raw(data);
   }
 
+  // Compact forms for images that are hashed, never decoded (meta_check's
+  // state fingerprints): ByteReader has no counterpart for them.
+
+  /// Unsigned LEB128: 7 bits per byte, high bit set on all but the last.
+  void uvarint(std::uint64_t v) {
+    while (v >= 0x80) {
+      buf_.push_back(static_cast<std::uint8_t>(v | 0x80));
+      v >>= 7;
+    }
+    buf_.push_back(static_cast<std::uint8_t>(v));
+  }
+
+  /// Zigzag-mapped signed LEB128 (0, -1, 1, -2 ... -> 0, 1, 2, 3 ...).
+  void svarint(std::int64_t v) {
+    uvarint((static_cast<std::uint64_t>(v) << 1) ^
+            static_cast<std::uint64_t>(v >> 63));
+  }
+
+  /// Varint-length-prefixed bytes.
+  void vblob(std::span<const std::uint8_t> data) {
+    uvarint(data.size());
+    raw(data);
+  }
+  void vstr(std::string_view s) {
+    vblob(std::span(reinterpret_cast<const std::uint8_t*>(s.data()),
+                    s.size()));
+  }
+
   /// Pre-size the buffer (compiled marshal plans know the wire size).
   void reserve(std::size_t n) { buf_.reserve(n); }
 

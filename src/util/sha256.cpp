@@ -71,7 +71,7 @@ void compress(std::array<std::uint32_t, 8>& state,
 
 }  // namespace
 
-std::string sha256_hex(std::string_view data) {
+Sha256Digest sha256(std::string_view data) {
   std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
                                         0xa54ff53a, 0x510e527f, 0x9b05688c,
                                         0x1f83d9ab, 0x5be0cd19};
@@ -96,13 +96,23 @@ std::string sha256_hex(std::string_view data) {
   compress(state, tail);
   if (blocks == 2) compress(state, tail + 64);
 
+  Sha256Digest out;
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    for (int b = 0; b < 4; ++b) {
+      out[4 * i + static_cast<std::size_t>(b)] =
+          static_cast<std::uint8_t>(state[i] >> (24 - 8 * b));
+    }
+  }
+  return out;
+}
+
+std::string sha256_hex(std::string_view data) {
   static const char* hex = "0123456789abcdef";
   std::string out;
   out.reserve(64);
-  for (std::uint32_t word : state) {
-    for (int shift = 28; shift >= 0; shift -= 4) {
-      out.push_back(hex[(word >> shift) & 0xf]);
-    }
+  for (std::uint8_t byte : sha256(data)) {
+    out.push_back(hex[byte >> 4]);
+    out.push_back(hex[byte & 0xf]);
   }
   return out;
 }

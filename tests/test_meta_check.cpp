@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "mc/explore.hpp"
 #include "mc/model.hpp"
+#include "meta/state.hpp"
+#include "util/sha256.hpp"
 #include "util/status.hpp"
 
 namespace npss {
@@ -95,20 +100,6 @@ TEST(McWorld, CrashSilencesAReplicaUntilRestart) {
   EXPECT_TRUE(world.up(1));
 }
 
-TEST(McWorld, FootprintsSeparateIndependentActions) {
-  mc::Options opts = small_opts(true);
-  opts.max_crashes = 1;
-  const mc::World world(opts);
-  const auto timer0 = world.footprint({mc::ActionKind::kTimer, 0, -1});
-  const auto timer1 = world.footprint({mc::ActionKind::kTimer, 1, -1});
-  const auto crash0 = world.footprint({mc::ActionKind::kCrash, 0, -1});
-  // Timers on distinct replicas touch disjoint resources (they may both
-  // send, but only on their own outgoing links); a crash of replica 0
-  // conflicts with replica 0's own timer.
-  EXPECT_EQ(timer0 & timer1, 0u);
-  EXPECT_NE(timer0 & crash0, 0u);
-}
-
 TEST(McSchedule, CodecRoundTripsEveryActionKind) {
   const std::string text = "p0,t1,c2,r2,d1>2,x0>1,u2>0";
   const std::vector<mc::Action> schedule = mc::decode_schedule(text);
@@ -152,54 +143,55 @@ TEST(McExplore, LegacyProtocolLosesAnAckedWrite) {
   EXPECT_NE(result.transcript.find("MC003"), std::string::npos);
 }
 
-TEST(McExplore, ReductionDoesNotChangeTheVerdict) {
-  mc::ExploreOptions full;
-  full.depth = 5;
-  full.reduce = false;
-  mc::ExploreOptions reduced = full;
-  reduced.reduce = true;
-
-  const mc::ExploreResult a = mc::explore(small_opts(true), full);
-  const mc::ExploreResult b = mc::explore(small_opts(true), reduced);
-  EXPECT_FALSE(a.violation);
-  EXPECT_FALSE(b.violation);
-  EXPECT_GT(b.stats.sleep_pruned, 0u);
-
-  const mc::ExploreResult c = mc::explore(small_opts(false), full);
-  const mc::ExploreResult d = mc::explore(small_opts(false), reduced);
-  ASSERT_TRUE(c.violation);
-  ASSERT_TRUE(d.violation);
-  EXPECT_EQ(c.violation->code, d.violation->code);
-}
-
-TEST(McExplore, ReductionAgreesWithFullSearchUnderFaults) {
-  // The visited set caches (remaining depth, sleep set) per state and
-  // only skips a revisit the cached exploration dominates; skipping on
-  // hash+depth alone would let a first visit under a larger sleep set
-  // permanently hide the subtrees it pruned. Cross-check reduced vs
-  // full search at bounds where sleep sets actually form (duplicates +
-  // crashes give commuting link/node actions): the verdict must match.
-  mc::Options opts = small_opts(false);  // legacy: a violation exists
+TEST(McExplore, StateCountsArePinned) {
+  // The visited set is keyed on a hash of World::fingerprint(). These
+  // counts were taken with the original fixed-width image (every field
+  // u32/u64, records in their wire encoding) and no reduction; the
+  // compact varint image must partition states identically: were it to
+  // merge two distinct states, or split one, the counts would move.
+  mc::Options opts = small_opts(true);
+  opts.max_ops = 2;
   opts.max_duplicates = 1;
   opts.max_crashes = 1;
-  mc::ExploreOptions full;
-  full.depth = 5;
-  full.reduce = false;
-  mc::ExploreOptions reduced = full;
-  reduced.reduce = true;
-  const mc::ExploreResult a = mc::explore(opts, full);
-  const mc::ExploreResult b = mc::explore(opts, reduced);
-  ASSERT_TRUE(a.violation);
-  ASSERT_TRUE(b.violation);
-  EXPECT_EQ(a.violation->code, b.violation->code);
+  opts.max_restarts = 1;
+  opts.max_drops = 1;
+  mc::ExploreOptions x;
+  x.depth = 5;
+  x.max_states = 0;
+  for (const std::uint64_t interval : {0u, 1u}) {
+    opts.snapshot_interval = interval;  // 1: snapshots and fetch images
+    const mc::ExploreResult result = mc::explore(opts, x);
+    EXPECT_FALSE(result.violation) << result.transcript;
+    EXPECT_EQ(result.stats.states_explored, 19514u) << "interval " << interval;
+    EXPECT_EQ(result.stats.visited_hits, 11130u) << "interval " << interval;
+    EXPECT_EQ(result.stats.sleep_pruned, 0u);
+  }
 
-  mc::Options clean = small_opts(true);
-  clean.max_duplicates = 1;
-  clean.max_crashes = 1;
-  const mc::ExploreResult c = mc::explore(clean, full);
-  const mc::ExploreResult d = mc::explore(clean, reduced);
-  EXPECT_FALSE(c.violation) << c.transcript;
-  EXPECT_FALSE(d.violation) << d.transcript;
+  // The negative corpus under faults: the search stops at the same
+  // violating state after the same number of steps.
+  mc::Options legacy = small_opts(false);
+  legacy.max_duplicates = 1;
+  legacy.max_crashes = 1;
+  x.depth = 6;
+  const mc::ExploreResult found = mc::explore(legacy, x);
+  ASSERT_TRUE(found.violation);
+  EXPECT_EQ(found.violation->code, "MC003");
+  EXPECT_EQ(found.stats.states_explored, 248u);
+  EXPECT_EQ(found.stats.visited_hits, 84u);
+}
+
+TEST(McExplore, QuorumIsCleanUnderDuplicatesAndCrashes) {
+  // Duplicated frames and a crash at once: stale appends, acks and
+  // fetch replies arrive after the replica that sent them died.
+  mc::Options opts = small_opts(true);
+  opts.max_duplicates = 1;
+  opts.max_crashes = 1;
+  mc::ExploreOptions x;
+  x.depth = 6;
+  x.max_states = 0;
+  const mc::ExploreResult result = mc::explore(opts, x);
+  EXPECT_FALSE(result.violation) << result.transcript;
+  EXPECT_GT(result.stats.visited_hits, 0u);
 }
 
 TEST(McExplore, ReplayRejectsSchedulesTheWorldCannotRun) {
@@ -239,6 +231,92 @@ TEST(McExplore, MultiOpWithDuplicatesAndFaultsStaysClean) {
   const mc::ExploreResult result = mc::explore(opts, x);
   EXPECT_FALSE(result.violation) << result.transcript;
   EXPECT_FALSE(result.stats.budget_exhausted);
+}
+
+meta::ChangeRecord random_record(std::mt19937& rng) {
+  // A tiny alphabet, so independent sequences often build equal tables.
+  const auto pick = [&rng](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng);
+  };
+  meta::ChangeRecord rec;
+  rec.kind = static_cast<meta::RecordKind>(1 + pick(5));
+  rec.line = 1 + pick(2);
+  rec.note = pick(2) ? "a" : "b";
+  rec.quota = pick(2);
+  rec.address = pick(2) ? "p1" : "p2";
+  rec.shared = pick(2) == 1;
+  rec.machine = "m";
+  rec.spec_hash = pick(2) ? "h1" : "h2";
+  if (pick(2)) rec.procs = {{"f", "int"}};
+  return rec;
+}
+
+meta::ReplicatedState random_state(std::mt19937& rng) {
+  meta::ReplicatedState state;
+  const int n = std::uniform_int_distribution<int>(0, 3)(rng);
+  std::uint64_t index = 0;
+  for (int i = 0; i < n; ++i) {
+    // Skipped indices vary last_applied() independently of the table.
+    index += std::uniform_int_distribution<std::uint64_t>(1, 2)(rng);
+    state.apply(random_record(rng), index);
+  }
+  return state;
+}
+
+TEST(McState, SameTableAgreesWithDigestEquality) {
+  // MC004/MC005 compare tables with same_table() instead of digests; the
+  // two must agree on every pair, including pairs whose last_applied()
+  // differs (the digest ignores it, so must same_table()).
+  std::mt19937 rng(7);
+  int equal = 0;
+  int equal_at_different_index = 0;
+  int different = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const meta::ReplicatedState a = random_state(rng);
+    const meta::ReplicatedState b = random_state(rng);
+    const bool same = a.same_table(b);
+    ASSERT_EQ(same, a.digest() == b.digest()) << "trial " << trial;
+    EXPECT_EQ(same, b.same_table(a));
+    if (same) {
+      ++equal;
+      if (a.last_applied() != b.last_applied()) ++equal_at_different_index;
+    } else {
+      ++different;
+    }
+  }
+  // The generator must exercise both verdicts, and equal tables reached
+  // at different log positions.
+  EXPECT_GT(equal, 100);
+  EXPECT_GT(equal_at_different_index, 10);
+  EXPECT_GT(different, 100);
+}
+
+std::string hex(const util::Sha256Digest& digest) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t byte : digest) {
+    out.push_back(digits[byte >> 4]);
+    out.push_back(digits[byte & 0xf]);
+  }
+  return out;
+}
+
+TEST(Sha256, RawDigestMatchesFipsVectors) {
+  // FIPS 180-4 / NIST example vectors; the 56-byte message pads into a
+  // second block.
+  const std::pair<std::string, std::string> vectors[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+  };
+  for (const auto& [message, expected] : vectors) {
+    const util::Sha256Digest digest = util::sha256(message);
+    EXPECT_EQ(digest.size(), 32u);
+    EXPECT_EQ(hex(digest), expected) << "message '" << message << "'";
+    EXPECT_EQ(util::sha256_hex(message), expected);
+  }
 }
 
 }  // namespace
