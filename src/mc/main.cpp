@@ -10,9 +10,11 @@
 // exhaustively explores every message delivery order, drop, duplicate,
 // crash/restart point, and election-timer firing up to --depth steps,
 // checking the MC0xx safety invariants after every step. Exit status:
-// 0 = every explored schedule satisfies every invariant, 1 = a violation
-// was found (its minimized schedule and transcript are printed — feed the
-// schedule back through --replay to re-execute it), 2 = usage error.
+// 0 = every schedule up to the bound satisfies every invariant, 1 = a
+// violation was found (its minimized schedule and transcript are printed
+// — feed the schedule back through --replay to re-execute it), 2 = usage
+// error, 3 = no violation, but --max-states ran out before the bound, so
+// coverage is partial and a gate must not count the run as a pass.
 //
 // --legacy selects the PR 6 fire-and-forget protocol, which MUST fail
 // with an MC003 acked-then-lost transcript — the negative corpus proving
@@ -55,8 +57,9 @@ void usage(std::ostream& os) {
         "  --json                 machine-readable report\n"
         "  --list-codes           print the MC0xx diagnostic table\n"
         "\n"
-        "Exit 0 = all explored schedules safe, 1 = violation found,\n"
-        "2 = usage error.\n";
+        "Exit 0 = every schedule up to --depth safe, 1 = violation found,\n"
+        "2 = usage error, 3 = no violation but the --max-states budget ran\n"
+        "out before the bound (partial coverage: raise --max-states).\n";
 }
 
 void list_codes(std::ostream& os) {
@@ -67,6 +70,15 @@ void list_codes(std::ostream& os) {
        << npss::check::severity_name(info.default_severity) << "  "
        << info.summary << "\n";
   }
+}
+
+// Exit status when the state budget ran out before the depth bound and
+// no violation was found.
+constexpr int kExitBudgetExhausted = 3;
+
+int exit_status(const npss::mc::ExploreResult& result) {
+  if (result.violation) return 1;
+  return result.stats.budget_exhausted ? kExitBudgetExhausted : 0;
 }
 
 std::string json_report(const npss::mc::ExploreResult& result,
@@ -81,7 +93,8 @@ std::string json_report(const npss::mc::ExploreResult& result,
      << "  \"visited_hits\": " << result.stats.visited_hits << ",\n"
      << "  \"transitions\": " << result.stats.transitions << ",\n"
      << "  \"budget_exhausted\": "
-     << (result.stats.budget_exhausted ? "true" : "false") << ",\n";
+     << (result.stats.budget_exhausted ? "true" : "false") << ",\n"
+     << "  \"exit_status\": " << exit_status(result) << ",\n";
   if (result.violation) {
     os << "  \"violation\": {\n"
        << "    \"code\": \"" << json_escape(result.violation->code)
@@ -192,6 +205,11 @@ int main(int argc, char** argv) {
     if (result.stats.budget_exhausted) {
       std::cout << "  note: --max-states budget exhausted before the bound; "
                    "coverage is partial\n";
+      if (!result.violation) {
+        std::cout << "  exit " << kExitBudgetExhausted
+                  << ": no violation found, but the bound was not reached; "
+                     "raise --max-states\n";
+      }
     }
     if (result.violation) {
       std::cout << "\nerror: " << result.violation->code << ": "
@@ -205,5 +223,5 @@ int main(int argc, char** argv) {
       std::cout << "  every explored schedule satisfies MC001-MC005\n";
     }
   }
-  return result.violation ? 1 : 0;
+  return exit_status(result);
 }

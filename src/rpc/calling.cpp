@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "obs/trace.hpp"
+#include "rpc/metrics.hpp"
 #include "util/log.hpp"
 
 namespace npss::rpc {
@@ -306,19 +307,20 @@ CallResult CallCore::invoke(const std::string& name,
         result.values = std::move(merged);
         result.virtual_us = clock ? clock->now() - virtual_start : 0;
         if (obs::enabled()) {
-          obs::Registry& reg = obs::Registry::global();
-          reg.counter("rpc.client.calls").add();
-          reg.counter("rpc.client.calls." + name).add();
-          reg.counter("rpc.client.bytes_marshaled")
-              .add(request_blob.size() + reply.blob.size());
-          reg.histogram("rpc.client.latency_us").record(span.elapsed_us());
+          RpcMetrics& m = rpc_metrics();
+          m.client_calls.add();
+          if (!cache.calls_by_name) {
+            cache.calls_by_name =
+                &obs::Registry::global().counter("rpc.client.calls." + name);
+          }
+          cache.calls_by_name->add();
+          m.client_bytes_marshaled.add(request_blob.size() + reply.blob.size());
+          m.client_latency_us.record(span.elapsed_us());
           if (clock) {
-            reg.histogram("rpc.client.virtual_latency_us")
-                .record(static_cast<double>(result.virtual_us));
+            m.client_virtual_latency_us.record(
+                static_cast<double>(result.virtual_us));
           }
-          if (attempt.number > 1) {
-            reg.counter("rpc.client.recovered_calls").add();
-          }
+          if (attempt.number > 1) m.client_recovered_calls.add();
         }
         return result;
       }

@@ -43,6 +43,10 @@ struct BindingCache {
   std::string resolved_name;  ///< exporter-cased name
   obs::Counter lookups;       ///< Manager queries performed
   obs::Counter stale_retries; ///< calls that hit a moved procedure
+  /// rpc.client.calls.<name> in the global registry, resolved on the
+  /// first successful call. A cache serves one procedure name (the Line
+  /// and the host key their caches by it), so the handle never changes.
+  obs::Counter* calls_by_name = nullptr;
   /// Compiled marshal programs for the import signature, filled on the
   /// first call (or eagerly by RemoteProc) and reused for every
   /// steady-state call — the §4.1 stub-compiler specialization.

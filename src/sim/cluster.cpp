@@ -1,6 +1,7 @@
 #include "sim/cluster.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
@@ -143,20 +144,33 @@ EndpointPtr Cluster::spawn(const std::string& machine,
                            const std::string& label, ProgramImage image,
                            std::vector<std::string> args) {
   EndpointPtr ep = create_endpoint(machine, label);
+  auto exited = std::make_shared<std::atomic<bool>>(false);
+  std::vector<ProcessThread> finished;
   {
     util::MutexLock lock(mu_);
-    threads_.emplace_back([this, ep, image = std::move(image),
-                           args = std::move(args)]() mutable {
-      ProcessContext ctx(*this, ep, std::move(args));
-      try {
-        image(ctx);
-      } catch (const std::exception& e) {
-        NPSS_LOG_ERROR("sim", "process ", ep->address(),
-                       " died with exception: ", e.what());
-      }
-      retire_endpoint(ep->address());
-    });
+    // Reap the processes that have run to completion; otherwise every
+    // finished process keeps its thread (and stack) until shutdown().
+    auto done = std::partition(
+        threads_.begin(), threads_.end(), [](const ProcessThread& p) {
+          return !p.exited->load(std::memory_order_acquire);
+        });
+    std::move(done, threads_.end(), std::back_inserter(finished));
+    threads_.erase(done, threads_.end());
+    threads_.push_back(ProcessThread{
+        exited, std::jthread([this, ep, exited, image = std::move(image),
+                              args = std::move(args)]() mutable {
+          ProcessContext ctx(*this, ep, std::move(args));
+          try {
+            image(ctx);
+          } catch (const std::exception& e) {
+            NPSS_LOG_ERROR("sim", "process ", ep->address(),
+                           " died with exception: ", e.what());
+          }
+          retire_endpoint(ep->address());
+          exited->store(true, std::memory_order_release);
+        })});
   }
+  finished.clear();  // joined off-lock; each has already left its body
   return ep;
 }
 
@@ -292,7 +306,7 @@ void Cluster::send(Endpoint& from, const std::string& to,
 
 void Cluster::shutdown() {
   std::unordered_map<std::string, EndpointPtr> eps;
-  std::vector<std::jthread> threads;
+  std::vector<ProcessThread> threads;
   {
     util::MutexLock lock(mu_);
     eps.swap(endpoints_);

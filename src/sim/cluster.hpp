@@ -12,6 +12,7 @@
 // of host scheduling.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <set>
@@ -254,7 +255,15 @@ class Cluster {
       SCHOONER_GUARDED_BY(mu_);
   std::map<std::pair<std::string, std::string>, ProgramImage> images_
       SCHOONER_GUARDED_BY(mu_);
-  std::vector<std::jthread> threads_ SCHOONER_GUARDED_BY(mu_);
+  /// A spawned process's host thread. `exited` is set as the thread's
+  /// last act, so the next spawn() can join it without waiting.
+  struct ProcessThread {
+    std::shared_ptr<std::atomic<bool>> exited;
+    std::jthread thread;
+  };
+  /// Live process threads, plus finished ones not yet reaped by a
+  /// spawn(); shutdown() joins whatever is left.
+  std::vector<ProcessThread> threads_ SCHOONER_GUARDED_BY(mu_);
   std::uint64_t next_pid_ SCHOONER_GUARDED_BY(mu_) = 1;
   Traffic traffic_ SCHOONER_GUARDED_BY(mu_);
   std::map<std::string, Traffic> traffic_by_link_ SCHOONER_GUARDED_BY(mu_);

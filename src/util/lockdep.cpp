@@ -20,10 +20,12 @@ struct LockClass {
 
 namespace {
 
-// All lockdep-internal state hangs off deliberately leaked heap objects:
+// The shared lockdep state hangs off a deliberately leaked heap object:
 // lockdep is invoked from static-storage mutexes (singleton registries,
 // the TcpBus pool) whose last unlocks can run during static destruction,
-// after normal globals are gone.
+// after normal globals are gone. Per-thread held stacks are freed at
+// thread exit instead (held_stack() below), so a run that starts and
+// ends many threads does not leak one per thread.
 struct Registry {
   std::mutex mu;  // raw std::mutex: lockdep must not instrument itself
   std::map<std::string, LockClass*> classes;
@@ -43,12 +45,33 @@ struct Held {
   std::string site;
 };
 
-std::vector<Held>& held_stack() {
-  // Leaked per thread for the same static-destruction reason as the
-  // registry: a thread_local vector could be destroyed before the last
-  // static mutex this thread releases.
-  thread_local std::vector<Held>* held = new std::vector<Held>();
-  return *held;
+// The calling thread's held stack, freed when the thread exits. The
+// slot itself is trivially destructible, so it stays readable for the
+// thread's whole life; once the reaper has run (thread exit, or the main
+// thread's exit before static destruction) held_stack() returns nullptr
+// and the hooks stop tracking that thread: a static mutex released
+// during static destruction finds no stack and is ignored, so the graph
+// only under-approximates, as after reset().
+struct HeldSlot {
+  std::vector<Held>* stack = nullptr;
+  bool reaped = false;
+};
+thread_local HeldSlot held_slot;
+
+struct HeldReaper {
+  ~HeldReaper() {
+    delete held_slot.stack;
+    held_slot.stack = nullptr;
+    held_slot.reaped = true;
+  }
+};
+
+std::vector<Held>* held_stack() {
+  if (held_slot.stack == nullptr && !held_slot.reaped) {
+    thread_local HeldReaper reaper;  // first use registers the exit hook
+    held_slot.stack = new std::vector<Held>();
+  }
+  return held_slot.stack;
 }
 
 std::string format_site(const std::source_location& site) {
@@ -96,7 +119,9 @@ void default_handler(const Report& report) {
 
 void record(const LockClass* cls, const void* instance,
             const std::source_location& site, bool order_edges) {
-  auto& held = held_stack();
+  std::vector<Held>* stack = held_stack();
+  if (stack == nullptr) return;  // thread teardown: no longer tracked
+  auto& held = *stack;
   std::string at = format_site(site);
 
   if (order_edges && !held.empty()) {
@@ -185,7 +210,9 @@ void on_try_acquire(const LockClass* cls, const void* instance,
 }
 
 void on_release(const LockClass* cls, const void* instance) {
-  auto& held = held_stack();
+  std::vector<Held>* stack = held_stack();
+  if (stack == nullptr) return;
+  auto& held = *stack;
   for (auto it = held.rbegin(); it != held.rend(); ++it) {
     if (it->instance == instance && it->cls == cls) {
       held.erase(std::next(it).base());
@@ -211,7 +238,10 @@ std::uint64_t inversions_detected() {
   return registry().inversions.load(std::memory_order_relaxed);
 }
 
-std::size_t held_count() { return held_stack().size(); }
+std::size_t held_count() {
+  const std::vector<Held>* stack = held_stack();
+  return stack ? stack->size() : 0;
+}
 
 std::string graph_text() {
   std::lock_guard lock(registry().mu);
@@ -230,7 +260,7 @@ void reset() {
   for (auto& [name, cls] : registry().classes) cls->out.clear();
   registry().edges = 0;
   registry().inversions.store(0, std::memory_order_relaxed);
-  held_stack().clear();
+  if (std::vector<Held>* stack = held_stack()) stack->clear();
 }
 
 }  // namespace npss::util::lockdep

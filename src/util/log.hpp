@@ -59,15 +59,24 @@ void log(LogLevel level, const std::string& component, Args&&... args) {
   logger.write(level, component, os.str());
 }
 
+// The macros test the level before anything else, so a disabled site
+// costs one relaxed load: its arguments (and the component string) are
+// never evaluated.
+#define NPSS_LOG_AT(level, component, ...)                             \
+  do {                                                                 \
+    if (::npss::util::Logger::instance().enabled(level)) {             \
+      ::npss::util::log(level, component, __VA_ARGS__);                \
+    }                                                                  \
+  } while (0)
 #define NPSS_LOG_TRACE(component, ...) \
-  ::npss::util::log(::npss::util::LogLevel::kTrace, component, __VA_ARGS__)
+  NPSS_LOG_AT(::npss::util::LogLevel::kTrace, component, __VA_ARGS__)
 #define NPSS_LOG_DEBUG(component, ...) \
-  ::npss::util::log(::npss::util::LogLevel::kDebug, component, __VA_ARGS__)
+  NPSS_LOG_AT(::npss::util::LogLevel::kDebug, component, __VA_ARGS__)
 #define NPSS_LOG_INFO(component, ...) \
-  ::npss::util::log(::npss::util::LogLevel::kInfo, component, __VA_ARGS__)
+  NPSS_LOG_AT(::npss::util::LogLevel::kInfo, component, __VA_ARGS__)
 #define NPSS_LOG_WARN(component, ...) \
-  ::npss::util::log(::npss::util::LogLevel::kWarn, component, __VA_ARGS__)
+  NPSS_LOG_AT(::npss::util::LogLevel::kWarn, component, __VA_ARGS__)
 #define NPSS_LOG_ERROR(component, ...) \
-  ::npss::util::log(::npss::util::LogLevel::kError, component, __VA_ARGS__)
+  NPSS_LOG_AT(::npss::util::LogLevel::kError, component, __VA_ARGS__)
 
 }  // namespace npss::util

@@ -5,6 +5,16 @@
 // macros, and (b) the debug-mode lock-order checker (util::lockdep) can
 // observe every acquisition. Each Mutex names its lockdep class; the
 // documented hierarchy lives in lock_hierarchy.md.
+//
+// CondVar is built on std::condition_variable, not
+// std::condition_variable_any: libstdc++'s _any variant signals while
+// holding an internal mutex, so on one CPU the woken thread runs, blocks
+// on that mutex and switches back — two context switches per handoff
+// instead of one, on every sim mailbox and host work queue. A wait hands
+// the Mutex's own std::mutex to the native condvar, and lockdep sees it
+// as what it is: a release of the Mutex before blocking and a fresh
+// acquisition (ordering edges included) at the wait's call site after
+// waking.
 #pragma once
 
 #include <chrono>
@@ -103,12 +113,12 @@ class SCHOONER_SCOPED_CAPABILITY MutexLock {
   Mutex* mu_;
 };
 
-/// Condition variable waiting on util::Mutex. Built on
-/// condition_variable_any so waits release/reacquire through
-/// Mutex::unlock/lock — the lockdep held stack stays correct across a
-/// wait. Callers pass the MutexLock they hold; the analysis treats the
-/// capability as held throughout (the caller-visible contract: the
-/// guarded predicate may be re-read the moment wait returns).
+/// Condition variable waiting on util::Mutex (see the header comment for
+/// why it wraps std::condition_variable). Callers pass the MutexLock they
+/// hold; the analysis treats the capability as held throughout (the
+/// caller-visible contract: the guarded predicate may be re-read the
+/// moment wait returns). Each wait reports a release and a re-acquire to
+/// lockdep, so the held stack stays exact across it.
 ///
 /// There is deliberately no predicate-taking overload: the analysis is
 /// intra-procedural, so a predicate lambda reading guarded fields would
@@ -119,22 +129,54 @@ class CondVar {
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }
 
-  void wait(MutexLock& lock) { cv_.wait(*lock.mu_); }
+  void wait(MutexLock& lock,
+            std::source_location site = std::source_location::current()) {
+    Adopted native(*lock.mu_, site);
+    cv_.wait(native.lock);
+  }
 
   template <typename Clock, typename Duration>
   std::cv_status wait_until(
-      MutexLock& lock, const std::chrono::time_point<Clock, Duration>& tp) {
-    return cv_.wait_until(*lock.mu_, tp);
+      MutexLock& lock, const std::chrono::time_point<Clock, Duration>& tp,
+      std::source_location site = std::source_location::current()) {
+    Adopted native(*lock.mu_, site);
+    return cv_.wait_until(native.lock, tp);
   }
 
   template <typename Rep, typename Period>
-  std::cv_status wait_for(MutexLock& lock,
-                          const std::chrono::duration<Rep, Period>& d) {
-    return cv_.wait_for(*lock.mu_, d);
+  std::cv_status wait_for(
+      MutexLock& lock, const std::chrono::duration<Rep, Period>& d,
+      std::source_location site = std::source_location::current()) {
+    Adopted native(*lock.mu_, site);
+    return cv_.wait_for(native.lock, d);
   }
 
  private:
-  std::condition_variable_any cv_;
+  // Lends the held Mutex's std::mutex to the native condvar for one wait
+  // and takes it back on every exit path (the condvar re-locks before
+  // returning or throwing), so MutexLock still owns the unlock.
+  struct Adopted {
+    Adopted(Mutex& held, std::source_location at)
+        : mu(held), site(at), lock(held.mu_, std::adopt_lock) {
+#if defined(SCHOONER_LOCKDEP) && SCHOONER_LOCKDEP
+      lockdep::on_release(mu.class_, &mu);
+#endif
+    }
+    ~Adopted() {
+      lock.release();
+#if defined(SCHOONER_LOCKDEP) && SCHOONER_LOCKDEP
+      lockdep::on_acquire(mu.class_, &mu, site);
+#endif
+    }
+    Adopted(const Adopted&) = delete;
+    Adopted& operator=(const Adopted&) = delete;
+
+    Mutex& mu;
+    std::source_location site;
+    std::unique_lock<std::mutex> lock;
+  };
+
+  std::condition_variable cv_;
 };
 
 }  // namespace npss::util

@@ -8,6 +8,8 @@
 // SCHOONER_LOCKDEP is on (Debug / sanitizer builds).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <string>
 #include <thread>
 #include <vector>
@@ -249,6 +251,85 @@ TEST_F(LockdepTest, MutexIntegrationCatchesSeededInversion) {
   EXPECT_TRUE(contains(reports_.front().summary, "lockdep-test.mutex.A"));
   EXPECT_TRUE(any_line_contains(reports_.front().prior_chain,
                                 "lockdep-test.mutex.A"));
+}
+
+// A steady clock whose now() samples the calling thread's held-stack
+// depth. std::condition_variable::wait_until calls Clock::now() from
+// inside the wait, after CondVar has reported the release — so the last
+// sample shows what lockdep believes this thread holds while it waits.
+struct HeldProbeClock {
+  using duration = std::chrono::steady_clock::duration;
+  using rep = duration::rep;
+  using period = duration::period;
+  using time_point = std::chrono::time_point<HeldProbeClock>;
+  static constexpr bool is_steady = true;
+  static inline std::size_t held_seen = 0;
+  static time_point now() {
+    held_seen = lockdep::held_count();
+    return time_point(std::chrono::steady_clock::now().time_since_epoch());
+  }
+};
+
+TEST_F(LockdepTest, CondVarWaitReleasesAndReacquiresInHeldStack) {
+  Mutex outer{"lockdep-test.cv.outer"};
+  Mutex mu{"lockdep-test.cv.mu"};
+  CondVar cv;
+  MutexLock lo(outer);
+  MutexLock lock(mu);
+  ASSERT_EQ(lockdep::held_count(), 2u);
+  HeldProbeClock::held_seen = 99;
+  EXPECT_EQ(cv.wait_until(lock, HeldProbeClock::now() +
+                                    std::chrono::milliseconds(5)),
+            std::cv_status::timeout);
+  EXPECT_EQ(HeldProbeClock::held_seen, 1u);  // only `outer` while waiting
+  EXPECT_EQ(lockdep::held_count(), 2u);      // `mu` is back after the wait
+  EXPECT_EQ(cv.wait_for(lock, std::chrono::milliseconds(1)),
+            std::cv_status::timeout);
+  EXPECT_EQ(lockdep::held_count(), 2u);
+  EXPECT_TRUE(reports_.empty());
+}
+
+TEST_F(LockdepTest, CondVarWaitThenInnerLockRecordsTheNormalEdge) {
+  Mutex mu{"lockdep-test.cv.waiter"};
+  Mutex inner{"lockdep-test.cv.inner"};
+  CondVar cv;
+  bool ready = false;
+  std::thread notifier([&] {
+    // The notifier takes only `mu`; it must not add any ordering.
+    MutexLock lock(mu);
+    ready = true;
+    cv.notify_one();
+  });
+  {
+    MutexLock lock(mu);
+    while (!ready) cv.wait(lock);
+    // Woken and re-recorded as holding `mu`: taking `inner` now records
+    // waiter -> inner, exactly as if `mu` had never been released.
+    MutexLock li(inner);
+    EXPECT_EQ(lockdep::held_count(), 2u);
+  }
+  notifier.join();
+  EXPECT_EQ(lockdep::held_count(), 0u);
+  EXPECT_TRUE(contains(lockdep::graph_text(),
+                       "lockdep-test.cv.waiter -> lockdep-test.cv.inner"));
+  EXPECT_FALSE(contains(lockdep::graph_text(),
+                        "lockdep-test.cv.inner -> lockdep-test.cv.waiter"));
+  EXPECT_TRUE(reports_.empty());
+}
+
+TEST_F(LockdepTest, ThreadHeldStackStartsEmptyAndIsFreedOnExit) {
+  // Each thread gets its own stack, freed when the thread exits (a
+  // LeakSanitizer build reports it otherwise).
+  Mutex mu{"lockdep-test.thread.mu"};
+  for (int i = 0; i < 8; ++i) {
+    std::thread t([&] {
+      EXPECT_EQ(lockdep::held_count(), 0u);
+      MutexLock lock(mu);
+      EXPECT_EQ(lockdep::held_count(), 1u);
+    });
+    t.join();
+  }
+  EXPECT_TRUE(reports_.empty());
 }
 #else
 TEST_F(LockdepTest, MutexIntegrationCatchesSeededInversion) {

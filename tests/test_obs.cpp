@@ -205,6 +205,78 @@ TEST(ObsWire, TraceIdPropagatesAcrossRealTcpCall) {
   EXPECT_GT(reg.find_histogram("rpc.client.latency_us").count(), 0u);
 }
 
+TEST(ObsRegistry, SimCallMovesEachHotMetricOnceAndSurvivesReset) {
+  // The sim call path records through handles resolved once; one steady
+  // call (Sparc client, Cray host) must move each metric by exactly what
+  // the name-lookup path recorded, before and after Registry::reset().
+  sim::Cluster cluster;
+  cluster.add_machine("sparc", "sun-sparc10", "lerc");
+  cluster.add_machine("cray", "cray-ymp", "lerc");
+  rpc::SchoonerSystem system(cluster, "sparc");
+  cluster.install_image(
+      "cray", "/obs/add",
+      rpc::make_procedure_image(
+          "export add prog(\"x\" val double, \"y\" val double,"
+          " \"sum\" res double)",
+          {{"add", [](rpc::ProcCall& c) {
+              c.set_real("sum", c.real("x") + c.real("y"));
+            }}}));
+  auto client = system.make_client("sparc", "obs-handles");
+  client->contact_schx("cray", "/obs/add");
+  auto add = client->import_proc(
+      "add",
+      "import add prog(\"x\" val double, \"y\" val double,"
+      " \"sum\" res double)");
+  auto call = [&] {
+    uts::ValueList out =
+        add->call({Value::real(1.5), Value::real(2.0), Value::real(0)});
+    EXPECT_DOUBLE_EQ(out[2].as_real(), 3.5);
+  };
+  call();  // binds; the measured calls below are steady state
+
+  obs::Registry& reg = obs::Registry::global();
+  const char* names[] = {"rpc.client.calls",
+                         "rpc.client.calls.add",
+                         "rpc.transport.frames_sent",
+                         "rpc.transport.frames_received",
+                         "rpc.host.calls",
+                         "uts.marshal.fast_path_hits",
+                         "uts.marshal.fallback_hits"};
+  // Client call + reply frames; the Sparc ends are IEEE (fast path), the
+  // Cray ends convert (fallback), each side marshals and unmarshals once.
+  const std::uint64_t per_call[] = {1, 1, 2, 2, 1, 2, 2};
+  auto snapshot = [&] {
+    std::vector<std::uint64_t> v;
+    for (const char* n : names) v.push_back(reg.find_counter(n).value());
+    return v;
+  };
+  auto expect_one_call = [&](const char* when) {
+    const std::vector<std::uint64_t> before = snapshot();
+    const std::uint64_t latency = reg.find_histogram(
+        "rpc.client.latency_us").count();
+    const std::uint64_t handler = reg.find_histogram(
+        "rpc.host.handler_us").count();
+    call();
+    // The host records just before its reply leaves; the client counts
+    // once the reply is decoded, so every counter below has settled.
+    const std::vector<std::uint64_t> after = snapshot();
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(after[i] - before[i], per_call[i]) << names[i] << " " << when;
+    }
+    EXPECT_EQ(reg.find_histogram("rpc.client.latency_us").count(),
+              latency + 1) << when;
+    EXPECT_EQ(reg.find_histogram("rpc.host.handler_us").count(), handler + 1)
+        << when;
+  };
+  expect_one_call("before reset");
+  reg.reset();
+  for (const char* n : names) EXPECT_EQ(reg.find_counter(n).value(), 0u);
+  expect_one_call("after reset");
+  EXPECT_EQ(reg.find_counter("rpc.client.calls").value(), 1u);
+  EXPECT_EQ(reg.find_counter("rpc.client.calls.add").value(), 1u);
+  client->quit();
+}
+
 TEST(ObsReport, F100RemoteTransientShowsInstrumentedLayers) {
   // The acceptance scenario: one F100 transient with a remote module must
   // produce a run report covering at least the RPC client, the transport,

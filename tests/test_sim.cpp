@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "sim/cluster.hpp"
 #include "sim/network.hpp"
@@ -37,6 +40,25 @@ TEST(LinkProfiles, BandwidthMattersForBulkPayloads) {
 
 TEST(LinkProfiles, UnknownProfileThrows) {
   EXPECT_THROW((void)link_profile("fddi"), util::NoRouteError);
+}
+
+// Entries under /proc/self/task (live threads) and lines in
+// /proc/self/maps (mappings, two per unjoined thread stack + guard).
+std::size_t task_count() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
 }
 
 class ClusterTest : public ::testing::Test {
@@ -123,6 +145,26 @@ TEST_F(ClusterTest, SpawnRunsImageWithArgsAndRetiresOnExit) {
   }
   EXPECT_FALSE(cluster_.endpoint_alive(ep->address()));
   EXPECT_EQ(observed.load(), 3);
+}
+
+TEST_F(ClusterTest, FinishedProcessThreadsAreReapedByLaterSpawns) {
+  // A long-lived cluster runs many short processes (a line's servers
+  // come and go). Each finished process must give its thread back when
+  // the next one spawns, not hold its stack until shutdown().
+  auto run_one = [&] {
+    EndpointPtr ep = cluster_.spawn("b", "short", [](ProcessContext&) {});
+    while (cluster_.endpoint_alive(ep->address())) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+  for (int i = 0; i < 8; ++i) run_one();  // warm the thread-stack cache
+  const std::size_t tasks_before = task_count();
+  const std::size_t maps_before = mapping_count();
+  for (int i = 0; i < 200; ++i) run_one();
+  EXPECT_LE(task_count(), tasks_before + 2);
+  // Unreaped, the 200 stacks would add ~400 mappings.
+  EXPECT_LT(mapping_count(), maps_before + 40);
+  cluster_.shutdown();
 }
 
 TEST_F(ClusterTest, InstalledImagesSpawnByPath) {

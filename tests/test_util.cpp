@@ -1,6 +1,6 @@
 // Tests of the utility substrate: byte reader/writer framing, the
-// closable blocking queue, virtual clocks, error taxonomy, and the
-// parallel_for helper's chunking.
+// closable blocking queue and the CondVar under it, virtual clocks, error
+// taxonomy, and the parallel_for helper's chunking.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -9,6 +9,8 @@
 
 #include "util/bytes.hpp"
 #include "util/clock.hpp"
+#include "util/fair_queue.hpp"
+#include "util/mutex.hpp"
 #include "util/parallel.hpp"
 #include "util/queue.hpp"
 #include "util/status.hpp"
@@ -115,6 +117,120 @@ TEST(Queue, CrossThreadHandoff) {
   }
   EXPECT_EQ(expected, 1000);
   producer.join();
+}
+
+TEST(Queue, PopForTimesOutAndLeavesTheQueueUsable) {
+  BlockingQueue<int> q;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(q.pop_for(std::chrono::milliseconds(20)).has_value());
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(20));
+  EXPECT_FALSE(q.closed());  // a timeout, not a close
+  // The wait gave the lock back: another thread can push, and the next
+  // pop_for sees the item at once.
+  std::thread producer([&] { q.push(5); });
+  producer.join();
+  EXPECT_EQ(*q.pop_for(std::chrono::milliseconds(1000)), 5);
+
+  FairQueue<int> fq;
+  EXPECT_FALSE(fq.pop_for(std::chrono::milliseconds(10)).has_value());
+  EXPECT_TRUE(fq.push(1, 9));
+  EXPECT_EQ(*fq.pop_for(std::chrono::milliseconds(1000)), 9);
+}
+
+TEST(CondVar, WaiterReleasesTheMutexWhileBlocked) {
+  Mutex mu{"test.condvar"};
+  CondVar cv;
+  bool ready = false;
+  std::atomic<bool> waiting{false};
+  std::thread waiter([&] {
+    MutexLock lock(mu);
+    waiting = true;
+    while (!ready) cv.wait(lock);
+  });
+  while (!waiting) std::this_thread::yield();
+  // The waiter holds `mu` until it blocks in wait(); from then on this
+  // thread must be able to take it (a wait that kept the lock would
+  // hang here, so bound the attempt instead of locking blindly).
+  bool locked = false;
+  for (int i = 0; i < 2000 && !locked; ++i) {
+    locked = mu.try_lock();
+    if (!locked) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(locked);
+  ready = true;
+  mu.unlock();
+  cv.notify_one();
+  waiter.join();
+}
+
+TEST(CondVar, WaitForTimesOutHoldingTheLock) {
+  Mutex mu{"test.condvar"};
+  CondVar cv;
+  MutexLock lock(mu);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(cv.wait_for(lock, std::chrono::milliseconds(15)),
+            std::cv_status::timeout);
+  EXPECT_EQ(cv.wait_until(lock, std::chrono::steady_clock::now() +
+                                    std::chrono::milliseconds(5)),
+            std::cv_status::timeout);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(20));
+  // Back from the wait with the lock held: another thread cannot take it.
+  bool other_locked = true;
+  std::thread probe([&] {
+    other_locked = mu.try_lock();
+    if (other_locked) mu.unlock();
+  });
+  probe.join();
+  EXPECT_FALSE(other_locked);
+}
+
+TEST(CondVar, NotifyOneWakesExactlyOneOfTwoWaiters) {
+  Mutex mu{"test.condvar"};
+  CondVar cv;
+  int waiting = 0;
+  int wakeups = 0;
+  int tokens = 0;
+  std::atomic<int> finished{0};
+  auto waiter = [&] {
+    MutexLock lock(mu);
+    ++waiting;
+    while (tokens == 0) {
+      cv.wait(lock);
+      ++wakeups;
+    }
+    --tokens;
+    ++finished;
+  };
+  std::thread a(waiter);
+  std::thread b(waiter);
+  // Both are blocked in wait() once `waiting` reads 2 under the lock:
+  // each bumped it under the lock and released the lock only by waiting.
+  for (;;) {
+    {
+      MutexLock lock(mu);
+      if (waiting == 2) break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  {
+    MutexLock lock(mu);
+    tokens = 1;
+  }
+  cv.notify_one();
+  while (finished < 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    MutexLock lock(mu);
+    EXPECT_EQ(wakeups, 1);  // notify_all would have woken both
+    EXPECT_EQ(finished.load(), 1);
+    tokens = 1;
+  }
+  cv.notify_one();
+  a.join();
+  b.join();
+  EXPECT_EQ(finished.load(), 2);
 }
 
 TEST(Clock, AdvanceAndJoinAreMonotone) {
